@@ -1,6 +1,6 @@
 # Developer entry points. `make help` lists targets.
 
-.PHONY: help install test lint arch-lint bench serve-bench fleet-bench cache-bench chaos fleet-chaos kernel-bench examples docs reproduce clean
+.PHONY: help install test lint arch-lint bench serve-bench fleet-bench cache-bench chaos fleet-chaos kernel-bench perfbench-check examples docs reproduce clean
 
 help:
 	@echo "install     editable install (falls back past missing wheel pkg)"
@@ -14,6 +14,7 @@ help:
 	@echo "chaos       run the fault-recovery benchmark alone"
 	@echo "fleet-chaos run the fleet resilience chaos certification"
 	@echo "kernel-bench time sparse-kernel backends vs the reference"
+	@echo "perfbench-check wall-clock benchmark self-tests + a 3-round correctness run"
 	@echo "examples    run all runnable examples"
 	@echo "docs        regenerate docs/api.md"
 	@echo "reproduce   write reproduction_report.md from all benchmarks"
@@ -85,11 +86,20 @@ kernel-bench:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 	  python -m repro kernel-bench
 
+# The wall-clock benchmark (perfbench/, declared in BENCHMARK.json):
+# its own tests, which pytest's testpaths never collects, then three
+# rounds per workload.  Gates on the exit code, i.e. on every
+# workload's outputs being correct; the timings are report-only.
+perfbench-check:
+	python -m pytest perfbench/tests -q
+	python3 perfbench/run.py --seconds 0 --trace 0
+
 examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f || exit 1; done
 
 docs:
-	python tools/gen_api_docs.py
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
+	  python tools/gen_api_docs.py
 
 reproduce:
 	python -m repro reproduce --out reproduction_report.md

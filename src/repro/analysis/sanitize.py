@@ -1,6 +1,6 @@
 """Runtime sanitizers: loud failure for silent numeric corruption.
 
-Three checks, all gated on :attr:`repro.perf.flags.PerfFlags.sanitize`
+Four checks, all gated on :attr:`repro.perf.flags.PerfFlags.sanitize`
 and all **zero-cost when the flag is off** (hot paths guard the call
 itself behind ``if FLAGS.sanitize``; the helpers additionally return
 immediately):
@@ -13,6 +13,9 @@ immediately):
     ``[0, n)``, optionally sorted-per-row.
 ``check_contract``
     Decorator pinning a function's returned array shape/dtype.
+``check_readiness``
+    The fleet loop's cached dispatch-readiness times against a fresh
+    poll of every replica.
 
 They exist because the repo's strongest claims — bit-identical
 crash/resume replay, atol=0 serve-path equivalence, the paper's step
@@ -39,7 +42,7 @@ from ..perf.flags import FLAGS
 from ..perf.profiler import PERF
 
 __all__ = ["check_finite", "check_csr", "check_contract",
-           "sanitize_active"]
+           "check_readiness", "sanitize_active"]
 
 
 def sanitize_active():
@@ -134,6 +137,27 @@ def check_csr(indptr, indices, num_rows, name="csr",
             if np.any(drops & ~boundary):
                 raise SanitizerError(
                     f"{name}: per-row indices are not sorted")
+
+
+def check_readiness(replicas, ready_at, draining):
+    """Validate a cached readiness table; no-op when ``FLAGS.sanitize``
+    is off.
+
+    ``ready_at[k]`` must equal ``replicas[k].next_dispatch_time(
+    draining)`` exactly (``None`` for a replica with nothing to
+    dispatch).  A mismatch means some event changed a replica without
+    marking its cached readiness stale, so the loop would dispatch at
+    the wrong simulated time.
+    """
+    if not FLAGS.sanitize:
+        return
+    PERF.count("sanitize_readiness_checks")
+    for replica, cached in zip(replicas, ready_at):
+        fresh = replica.next_dispatch_time(draining)
+        if fresh != cached:
+            raise SanitizerError(
+                f"replica {replica.replica_id}: cached dispatch "
+                f"readiness {cached!r} but a fresh poll gives {fresh!r}")
 
 
 def check_contract(shape=None, dtype=None):

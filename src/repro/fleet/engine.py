@@ -38,20 +38,22 @@ fleet-vs-single-server invariant the benchmark asserts.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 
 import numpy as np
 
+from ..analysis.sanitize import check_readiness
 from ..core.config import make_partitioner
 from ..errors import FleetError, ServingError
 from ..faults.retry import RetryPolicy
 from ..partition.base import PartitionResult
 from ..partition.replication import k_redundant_replication
-from ..perf import PERF, StageProfiler
+from ..perf import FLAGS, PERF, StageProfiler
 from ..perf.profiler import percentile
 from ..serve.batcher import BatchPolicy
 from ..serve.executor import SERVE_MODES
-from ..serve.precompute import LayerwiseEmbeddings
+from ..serve.precompute import LayerwiseEmbeddings, head_memo
 from ..transfer.hardware import DEFAULT_SPEC
 from ..transfer.tiered import TieredCache
 from .metrics import FleetReport, _latency_fields
@@ -237,22 +239,30 @@ class FleetEngine:
     # ------------------------------------------------------------------
     def run(self, requests):
         """Serve a request trace (sorted by arrival); returns a
-        :class:`~repro.fleet.metrics.FleetReport`."""
+        :class:`~repro.fleet.metrics.FleetReport`.  Precomputed answers
+        are memoized per vertex for this run only, shared by every
+        replica (:func:`~repro.serve.precompute.head_memo`)."""
         was_training = self.model.training
         self.model.eval()
         try:
-            return self._run(list(requests))
+            with head_memo(self.embeddings):
+                return self._run(list(requests))
         finally:
             self.model.train() if was_training else self.model.eval()
 
     @staticmethod
     def _hedge_delay(hedge, latencies):
         """Hedge delay from the observed latency quantile, or ``None``
-        while too few completions are on record to estimate it."""
+        while too few completions are on record to estimate it.
+
+        ``latencies`` must be in ascending order: the loop inserts each
+        completion with ``bisect.insort``, so the quantile is an exact
+        O(1) read instead of a sort per routed request."""
         if len(latencies) < hedge.min_observations:
             return None
         return max(hedge.min_delay,
-                   percentile(latencies, hedge.delay_quantile))
+                   percentile(latencies, hedge.delay_quantile,
+                              presorted=True))
 
     def _run(self, requests):
         if not requests:
@@ -298,7 +308,7 @@ class FleetEngine:
         assigned = {}        # request_id -> replica ids holding a copy
         hedge_target = {}    # request_id -> the hedge copy's replica
         done_ids = set()     # first-response-wins dedup
-        latencies = []       # completed latencies -> the p95 delay
+        latencies = []       # completed latencies, sorted -> p95 delay
         hedges_launched = 0
         hedges_won = 0
         hedges_wasted = 0
@@ -314,6 +324,33 @@ class FleetEngine:
         i, n = 0, len(requests)
         inf = float("inf")
 
+        # Dispatch readiness, cached: ready_at[k] is replica k's
+        # next_dispatch_time.  Anything that changes a replica's queue,
+        # free time, liveness or drain state puts it in ``stale``; only
+        # stale replicas are polled again, and all of them when the
+        # fleet-wide draining flag flips.  Autoscaler decisions are
+        # picked up from its event log.
+        ready_at = [None] * len(replicas)
+        stale = set(range(len(replicas)))
+        ready_draining = False
+        scale_seen = 0
+
+        def refresh(draining):
+            nonlocal ready_draining, scale_seen
+            if draining != ready_draining:
+                ready_draining = draining
+                stale.update(range(len(replicas)))
+            if autoscaler is not None:
+                for event in autoscaler.events[scale_seen:]:
+                    stale.add(event[2])
+                scale_seen = len(autoscaler.events)
+            for replica_id in stale:
+                ready_at[replica_id] = \
+                    replicas[replica_id].next_dispatch_time(draining)
+            stale.clear()
+            if FLAGS.sanitize:
+                check_readiness(replicas, ready_at, draining)
+
         def route_in(request):
             nonlocal rejected, pending_seq
             if hedge is not None and request.request_id in done_ids:
@@ -327,6 +364,7 @@ class FleetEngine:
                 rejected += 1
                 dropped_ids.append(request.request_id)
                 return
+            stale.add(replica.replica_id)
             if not replica.submit(request, is_owner):
                 rejected += 1
                 return
@@ -347,11 +385,9 @@ class FleetEngine:
             t_fault = faults[0][0] if faults else inf
             t_hedge = hedges[0][0] if hedges else inf
             t_completion = completions[0][0] if completions else inf
-            t_dispatch = inf
-            for replica in replicas:
-                t_r = replica.next_dispatch_time(draining)
-                if t_r is not None:
-                    t_dispatch = min(t_dispatch, t_r)
+            refresh(draining)
+            t_dispatch = min((t_r for t_r in ready_at if t_r is not None),
+                             default=inf)
             t = min(t_arrival, t_pending, t_fault, t_hedge,
                     t_completion, t_dispatch)
             if t == inf:
@@ -370,6 +406,7 @@ class FleetEngine:
                         continue
                     orphans = replica.crash(clock, down,
                                             cold=recovery is not None)
+                    stale.add(replica_id)
                     if detector is not None:
                         # The detector suspects the silence an order of
                         # magnitude before the retry timeout would.
@@ -409,6 +446,7 @@ class FleetEngine:
                              pending_seq, "dead", replica_id, 0.0))
                 elif kind == "recover":
                     replica.recover(clock)
+                    stale.add(replica_id)
                     if detector is not None:
                         detector.heartbeat(replica_id, clock)
                     if recovery is not None:
@@ -448,8 +486,8 @@ class FleetEngine:
                     hedges_wasted += 1
                     continue
                 done_ids.add(rid)
-                latencies.append(response.completion
-                                 - response.request.arrival)
+                bisect.insort(latencies, response.completion
+                              - response.request.arrival)
                 responses.append(response)
                 if hedge_target.get(rid) is None:
                     continue
@@ -459,6 +497,7 @@ class FleetEngine:
                     if other == response.replica:
                         continue
                     if replicas[other].batcher.cancel(rid):
+                        stale.add(other)
                         hedges_cancelled += 1
 
             # 2. Arrivals and failover re-submissions due now, merged
@@ -490,6 +529,7 @@ class FleetEngine:
                 if routed is None:
                     continue
                 replica, is_owner = routed
+                stale.add(replica.replica_id)
                 if not replica.submit(request, is_owner):
                     continue
                 assigned[rid].append(replica.replica_id)
@@ -501,9 +541,11 @@ class FleetEngine:
             # to completion events (step 1b) so an in-flight primary
             # can still lose to a faster hedge twin.
             draining = i >= n and not pending
-            for replica in replicas:
-                t_r = replica.next_dispatch_time(draining)
+            refresh(draining)
+            for replica_id, t_r in enumerate(ready_at):
                 if t_r is not None and t_r <= clock:
+                    replica = replicas[replica_id]
+                    stale.add(replica_id)
                     if schedule is not None:
                         straggle, slowlink = schedule.multipliers(
                             replica.replica_id, clock)

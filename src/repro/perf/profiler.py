@@ -39,7 +39,7 @@ def wall_clock():
 _RAISE = object()
 
 
-def percentile(values, q, default=_RAISE):
+def percentile(values, q, default=_RAISE, *, presorted=False):
     """The ``q``-th percentile of ``values`` with linear interpolation
     between closest ranks (the same definition as
     ``numpy.percentile(..., method="linear")``), implemented directly so
@@ -50,15 +50,22 @@ def percentile(values, q, default=_RAISE):
     default is returned instead of raising.  Report builders that must
     render zero-traffic entities (a fleet replica that received no
     requests) pass ``default=None`` so their latency fields serialize
-    as JSON ``null`` rather than a fabricated number.
+    as JSON ``null`` rather than a fabricated number.  ``q`` is checked
+    first, so an out-of-range ``q`` raises even then.
+
+    ``presorted=True`` promises ``values`` is already in ascending
+    order and skips the sort, making the read O(1).  A caller that keeps
+    its sample sorted as it grows (``bisect.insort``) gets bit-identical
+    results to the sorting path, since both interpolate over the same
+    sorted array.
     """
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile q must be in [0, 100], got {q}")
     if not values:
         if default is not _RAISE:
             return default
         raise ValueError("percentile of an empty observation list")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile q must be in [0, 100], got {q}")
-    ordered = sorted(values)
+    ordered = values if presorted else sorted(values)
     rank = (len(ordered) - 1) * (q / 100.0)
     low = math.floor(rank)
     high = math.ceil(rank)

@@ -56,6 +56,7 @@ from ..transfer.tiered import TieredCache
 from .batcher import BatchPolicy, MicroBatcher
 from .executor import SERVE_MODES, BatchExecutor
 from .metrics import ServeReport
+from .precompute import head_memo
 from .requests import InferenceResponse
 
 __all__ = ["ServeEngine", "SERVE_MODES"]
@@ -192,12 +193,15 @@ class ServeEngine:
         single-server queueing simulation: arrivals at time ``t`` are
         admitted (in order) before any dispatch decision at ``t``; a
         batch launches when the server is free and the batcher is ready
-        (full, past the oldest deadline, or draining).
+        (full, past the oldest deadline, or draining).  Precomputed
+        answers are memoized per vertex for this run only
+        (:func:`~repro.serve.precompute.head_memo`).
         """
         was_training = self.model.training
         self.model.eval()
         try:
-            return self._run(list(requests))
+            with head_memo(self.embeddings):
+                return self._run(list(requests))
         finally:
             self.model.train() if was_training else self.model.eval()
 

@@ -41,6 +41,7 @@ needed-set sizes, not the implementation's padded GEMMs.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,7 @@ from ..kernels import gspmm_forward
 from ..nn.layers import GCNConv, SAGEConv
 from ..nn.tensor import Tensor
 
-__all__ = ["LayerwiseEmbeddings", "OndemandStats"]
+__all__ = ["LayerwiseEmbeddings", "OndemandStats", "head_memo"]
 
 
 @dataclass(frozen=True)
@@ -143,6 +144,9 @@ class LayerwiseEmbeddings:
             self.build_edges += edges
             self.build_flops += flops
         self.table = check_finite(h, name="precomputed embedding table")
+        # vertex -> its (1, C) head logits; a dict only inside
+        # head_memo(), i.e. for at most one serving run.
+        self._memo = None
 
     # ------------------------------------------------------------------
     # Shared layer math
@@ -218,13 +222,22 @@ class LayerwiseEmbeddings:
         a single server.  This method pins one shape: every row is
         evaluated as its own ``(1, d)`` head pass, so identical
         vertices produce identical bits under any batching.
+
+        Inside :func:`head_memo` each vertex's row is computed once and
+        reused; the memo stores that same ``(1, d)`` pass's output, so
+        answers are unchanged.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         if len(vertices) == 0:
             raise ServingError("cannot serve an empty query batch")
-        return np.concatenate(
-            [self._head_logits(self.table[v:v + 1])
-             for v in vertices], axis=0)
+        memo = self._memo if self._memo is not None else {}
+        rows = []
+        for v in vertices.tolist():
+            row = memo.get(v)
+            if row is None:
+                row = memo[v] = self._head_logits(self.table[v:v + 1])
+            rows.append(row)
+        return np.concatenate(rows, axis=0)
 
     def ondemand_logits(self, vertices):
         """Exact full-fanout on-demand logits plus metered cost.
@@ -261,3 +274,24 @@ class LayerwiseEmbeddings:
         return logits, OndemandStats(edges=total_edges,
                                      input_ids=needed[0],
                                      flops=total_flops)
+
+
+@contextmanager
+def head_memo(embeddings):
+    """Memoize ``embeddings.rowwise_logits`` per vertex inside the block.
+
+    The serving engines wrap one ``run()`` in it: repeated queries for a
+    hot vertex then cost one head pass per run, and a head updated
+    between runs is never answered from a stale memo.  ``embeddings``
+    may be ``None`` (sampled serving without a table); the block then
+    runs unchanged.
+    """
+    if embeddings is None:
+        yield
+        return
+    saved = embeddings._memo
+    embeddings._memo = {}
+    try:
+        yield
+    finally:
+        embeddings._memo = saved

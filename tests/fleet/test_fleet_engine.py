@@ -88,6 +88,32 @@ class TestSingleServerReduction:
         assert got_report.rejected == 0
 
 
+    def test_head_update_between_runs_is_served(self, data, trace):
+        """The per-run head memo must not outlive a run: a head changed
+        between two runs changes the answers, to exactly the uncached
+        per-row logits of the new head."""
+        net = build_model("gcn", data.feature_dim, data.num_classes,
+                          rng=np.random.default_rng(11))
+        fleet = FleetEngine(data, net, partition="hash", num_replicas=3,
+                            mode="precomputed", policy=POLICY, seed=2)
+
+        def predictions():
+            report = fleet.run(trace)
+            return {r.request.request_id: r.prediction
+                    for r in report.responses}
+
+        old = predictions()
+        last = net.head.layers[-1]
+        last.weight.data *= -1.0
+        last.bias.data *= -1.0
+        new = predictions()
+        table = fleet.embeddings
+        want = {r.request_id: int(table._head_logits(
+                    table.table[r.vertex:r.vertex + 1]).argmax())
+                for r in trace}
+        assert new != old
+        assert new == want
+
 class TestDeterminism:
     def test_same_seed_identical_runs(self, data, model, embeddings,
                                       trace):

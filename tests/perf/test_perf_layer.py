@@ -75,6 +75,19 @@ class TestPercentile:
         with pytest.raises(ValueError):
             percentile([1.0], 101)
 
+    def test_q_checked_before_the_empty_default(self):
+        assert percentile([], 50, default=None) is None
+        with pytest.raises(ValueError):
+            percentile([], 150, default=None)
+        with pytest.raises(ValueError):
+            percentile([], -1, default=0.0)
+
+    def test_presorted_skips_the_sort(self):
+        assert percentile([1.0, 2.0, 3.0, 4.0], 50, presorted=True) == 2.5
+        # The promise is trusted, not checked: unsorted input is read
+        # as given.
+        assert percentile([9.0, 1.0, 5.0], 0, presorted=True) == 9.0
+
 
 class TestObservations:
     def test_observe_and_percentile(self):

@@ -11,6 +11,7 @@ from repro.errors import ServingError
 from repro.nn import build_model
 from repro.serve import (BatchPolicy, LayerwiseEmbeddings, LoadGenerator,
                          ServeEngine)
+from repro.serve.precompute import head_memo
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,64 @@ class TestBitMatchInvariant:
                     for r in report.responses]
 
         assert predictions("full") == predictions("precomputed")
+
+
+def uncached_rows(embeddings, vertices):
+    """The reference: one ``(1, d)`` head pass per queried row."""
+    return np.concatenate(
+        [embeddings._head_logits(embeddings.table[v:v + 1])
+         for v in vertices], axis=0)
+
+
+def negate_head(model):
+    """Flip the sign of the classifier's logits (every argmax moves)."""
+    last = model.head.layers[-1]
+    last.weight.data *= -1.0
+    last.bias.data *= -1.0
+
+
+class TestHeadMemo:
+    def test_memoized_rows_bit_equal_uncached(self, data, model):
+        embeddings = LayerwiseEmbeddings(model, data.graph,
+                                         data.features)
+        probe = np.concatenate([data.test_ids[:40], data.test_ids[:40:3],
+                                [5, 5, 9, 5]])
+        want = uncached_rows(embeddings, probe)
+        assert np.array_equal(embeddings.rowwise_logits(probe), want)
+        with head_memo(embeddings):
+            first = embeddings.rowwise_logits(probe)
+            again = embeddings.rowwise_logits(probe[::-1])
+        assert np.array_equal(first, want)
+        assert np.array_equal(again, want[::-1])
+
+    def test_memo_ends_with_its_block(self, data):
+        net = build_model("gcn", data.feature_dim, data.num_classes,
+                          rng=np.random.default_rng(11))
+        embeddings = LayerwiseEmbeddings(net, data.graph, data.features)
+        probe = data.test_ids[:20]
+        with head_memo(embeddings):
+            before = embeddings.rowwise_logits(probe)
+        negate_head(net)
+        after = embeddings.rowwise_logits(probe)
+        assert np.array_equal(after, -before)
+        assert np.array_equal(after, uncached_rows(embeddings, probe))
+
+    def test_head_update_between_runs_is_served(self, data, trace):
+        net = build_model("gcn", data.feature_dim, data.num_classes,
+                          rng=np.random.default_rng(11))
+        engine = ServeEngine(data, net, mode="precomputed",
+                             policy=BatchPolicy(16, 0.002), seed=2)
+
+        def predictions():
+            return [r.prediction for r in engine.run(trace).responses]
+
+        old = predictions()
+        negate_head(net)
+        new = predictions()
+        vertices = [r.vertex for r in trace]
+        assert new != old
+        assert new == uncached_rows(engine.embeddings,
+                                    vertices).argmax(axis=-1).tolist()
 
 
 class TestDeterminism:
