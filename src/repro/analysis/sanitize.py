@@ -1,6 +1,6 @@
 """Runtime sanitizers: loud failure for silent numeric corruption.
 
-Four checks, all gated on :attr:`repro.perf.flags.PerfFlags.sanitize`
+Five checks, all gated on :attr:`repro.perf.flags.PerfFlags.sanitize`
 and all **zero-cost when the flag is off** (hot paths guard the call
 itself behind ``if FLAGS.sanitize``; the helpers additionally return
 immediately):
@@ -16,6 +16,9 @@ immediately):
 ``check_readiness``
     The fleet loop's cached dispatch-readiness times against a fresh
     poll of every replica.
+``check_connectivity``
+    The METIS refinement's incremental vertex-to-part connectivity
+    table and positive-gain flags against a fresh recomputation.
 
 They exist because the repo's strongest claims — bit-identical
 crash/resume replay, atol=0 serve-path equivalence, the paper's step
@@ -42,7 +45,7 @@ from ..perf.flags import FLAGS
 from ..perf.profiler import PERF
 
 __all__ = ["check_finite", "check_csr", "check_contract",
-           "check_readiness", "sanitize_active"]
+           "check_readiness", "check_connectivity", "sanitize_active"]
 
 
 def sanitize_active():
@@ -158,6 +161,41 @@ def check_readiness(replicas, ready_at, draining):
             raise SanitizerError(
                 f"replica {replica.replica_id}: cached dispatch "
                 f"readiness {cached!r} but a fresh poll gives {fresh!r}")
+
+
+def check_connectivity(adj, assignment, conn, pos):
+    """Validate METIS's incremental connectivity table; no-op when
+    ``FLAGS.sanitize`` is off.
+
+    ``conn[v, p]`` must equal the total weight of row ``v`` of the CSR
+    matrix ``adj`` into part ``p`` under ``assignment``, and ``pos[v]``
+    must say whether some part's entry exceeds that of ``v``'s own
+    part.  A mismatch means a move left a neighbor's row stale, so
+    refinement would pick different moves than a fresh scan.
+    """
+    if not FLAGS.sanitize:
+        return
+    PERF.count("sanitize_connectivity_checks")
+    n = adj.shape[0]
+    fresh = np.zeros(conn.shape)
+    rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+    np.add.at(fresh, (rows, assignment[adj.indices]), adj.data)
+    stale = np.flatnonzero(np.any(fresh != conn, axis=1))
+    if len(stale):
+        v = int(stale[0])
+        raise SanitizerError(
+            f"connectivity of vertex {v} is {conn[v].tolist()} but a "
+            f"fresh scan gives {fresh[v].tolist()} ({len(stale)} stale "
+            f"rows)")
+    fresh_pos = fresh.max(axis=1) \
+        > fresh[np.arange(n), assignment]
+    wrong = np.flatnonzero(fresh_pos != pos)
+    if len(wrong):
+        v = int(wrong[0])
+        raise SanitizerError(
+            f"positive-gain flag of vertex {v} is {bool(pos[v])} but a "
+            f"fresh scan gives {bool(fresh_pos[v])} ({len(wrong)} wrong "
+            f"flags)")
 
 
 def check_contract(shape=None, dtype=None):

@@ -26,6 +26,8 @@ The classic three phases are implemented directly:
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 try:  # METIS-style coarsening needs scipy; hash/range partitioners don't.
@@ -33,8 +35,10 @@ try:  # METIS-style coarsening needs scipy; hash/range partitioners don't.
 except ImportError:  # pragma: no cover - exercised by the no-scipy CI job
     sp = None
 
+from ..analysis.sanitize import check_connectivity
 from ..errors import PartitionError
-from .base import PartitionResult, Partitioner
+from ..perf.flags import FLAGS
+from .base import PartitionResult, Partitioner, check_num_parts
 
 __all__ = ["metis_partition", "MetisPartitioner", "metis_clusters"]
 
@@ -70,16 +74,19 @@ def _heavy_edge_matching(adj, rng):
     for v in order:
         if match[v] != -1:
             continue
-        best, best_w = -1, 0.0
-        for idx in range(indptr[v], indptr[v + 1]):
-            u = indices[idx]
-            if match[u] == -1 and u != v and data[idx] > best_w:
-                best, best_w = u, data[idx]
-        if best == -1:
-            match[v] = v
+        row = slice(indptr[v], indptr[v + 1])
+        neighbors = indices[row]
+        # The heaviest unmatched non-self neighbor, first one on ties
+        # (what a strict ``>`` scan of the row picks); zero-weight
+        # entries never match.
+        weight = np.where((match[neighbors] == -1) & (neighbors != v),
+                          data[row], 0.0)
+        best = int(weight.argmax()) if len(weight) else 0
+        if len(weight) and weight[best] > 0:
+            match[v] = neighbors[best]
+            match[neighbors[best]] = v
         else:
-            match[v] = best
-            match[best] = v
+            match[v] = v
 
     cmap = np.full(n, -1, dtype=np.int64)
     next_id = 0
@@ -112,14 +119,14 @@ def _bfs_order(adj, rng):
     n = adj.shape[0]
     seen = np.zeros(n, dtype=bool)
     order = []
-    queue = []
+    queue = deque()
     for start in rng.permutation(n):
         if seen[start]:
             continue
         queue.append(start)
         seen[start] = True
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             order.append(v)
             for u in adj.indices[adj.indptr[v]:adj.indptr[v + 1]]:
                 if not seen[u]:
@@ -166,43 +173,87 @@ def _initial_partition(adj, weights, num_parts, caps, rng):
     return assignment, loads
 
 
+class _Connectivity:
+    """Edge weight from every vertex into every part, kept current
+    across single-vertex moves.
+
+    ``conn[v, p]`` is the total weight of ``v``'s adjacency row into
+    part ``p``; ``pos[v]`` says some part beats ``v``'s own, i.e. ``v``
+    has a move of positive raw gain.  A vertex without one cannot move
+    in refinement whatever the capacities, so interior, isolated and
+    zero-gain boundary vertices cost one flag read.  A move updates the
+    rows of the vertices whose adjacency holds the mover: the mover's
+    row of the transposed matrix, duplicates summed.
+
+    Every level's edge weights are integer-valued float64 (unit weights
+    from :func:`_weighted_adjacency`, summed by :func:`_contract`), so
+    each entry equals a fresh per-row sum in any summation order, and
+    every gain, score and tie matches a fresh recomputation bit for bit.
+    """
+
+    def __init__(self, adj, assignment, num_parts):
+        n = adj.shape[0]
+        rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+        # astype: bincount of an empty edge list is int64 even with
+        # weights.
+        self.conn = np.bincount(
+            rows * num_parts + assignment[adj.indices], weights=adj.data,
+            minlength=n * num_parts).astype(np.float64, copy=False) \
+            .reshape(n, num_parts)
+        self.assignment = assignment
+        self.pos = np.zeros(n, dtype=bool)
+        self._refresh(np.arange(n))
+        self._into = adj.T.tocsr()
+        self._into.sum_duplicates()
+
+    def _refresh(self, vertices):
+        conn = self.conn[vertices]
+        self.pos[vertices] = conn.max(axis=1) > \
+            conn[np.arange(len(vertices)), self.assignment[vertices]]
+
+    def move(self, v, target):
+        """Reassign ``v`` to ``target`` and update the table."""
+        row = slice(self._into.indptr[v], self._into.indptr[v + 1])
+        sources, weight = self._into.indices[row], self._into.data[row]
+        self.conn[sources, self.assignment[v]] -= weight
+        self.conn[sources, target] += weight
+        self.assignment[v] = target
+        self._refresh(np.append(sources, v))
+
+
 def _refine(adj, weights, assignment, num_parts, caps, rng, passes):
     """Boundary FM refinement: greedy positive-gain moves under all
     capacity constraints."""
-    indptr, indices, data = adj.indptr, adj.indices, adj.data
     loads = np.zeros((num_parts, weights.shape[1]))
     np.add.at(loads, assignment, weights)
+    table = _Connectivity(adj, assignment, num_parts)
+    conn, pos = table.conn, table.pos
     for _pass in range(passes):
         moved = 0
         for v in rng.permutation(adj.shape[0]):
-            row = slice(indptr[v], indptr[v + 1])
-            neighbors = indices[row]
-            if len(neighbors) == 0:
-                continue
+            if not pos[v]:
+                continue  # no part gains: interior, isolated or zero-gain
             cur = assignment[v]
-            parts = assignment[neighbors]
-            if np.all(parts == cur):
-                continue  # interior vertex
-            conn = np.zeros(num_parts)
-            np.add.at(conn, parts, data[row])
-            gain = conn - conn[cur]
+            gain = conn[v] - conn[v, cur]
             gain[cur] = -np.inf
             # Capacity check for every candidate part.
             fits = np.all(loads + weights[v] <= caps, axis=1)
             gain[~fits] = -np.inf
             target = int(gain.argmax())
             if gain[target] > 0:
-                assignment[v] = target
                 loads[cur] -= weights[v]
                 loads[target] += weights[v]
+                table.move(v, target)
                 moved += 1
+        if FLAGS.sanitize:
+            check_connectivity(adj, assignment, conn, pos)
         if moved == 0:
             break
-    _balance_pass(adj, weights, assignment, num_parts, caps, rng)
+    _balance_pass(adj, weights, assignment, num_parts, caps, rng, table)
     return assignment
 
 
-def _balance_pass(adj, weights, assignment, num_parts, caps, rng,
+def _balance_pass(adj, weights, assignment, num_parts, caps, rng, table,
                   floor_ratio=0.85, max_moves_factor=0.25):
     """Pull vertices into under-loaded parts, one constraint at a time.
 
@@ -213,9 +264,10 @@ def _balance_pass(adj, weights, assignment, num_parts, caps, rng,
     choosing, among sampled candidates, the vertex with the smallest cut
     damage.  Enforcing *every* column is what makes Metis-VE/VET pay for
     their extra constraints with a higher edge cut, as the paper observes
-    (§5.3.2).
+    (§5.3.2).  ``table`` is the :class:`_Connectivity` of ``assignment``
+    and is kept current.
     """
-    indptr, indices, data = adj.indptr, adj.indices, adj.data
+    conn = table.conn
     loads = np.zeros((num_parts, weights.shape[1]))
     np.add.at(loads, assignment, weights)
     avg = weights.sum(axis=0) / num_parts
@@ -223,6 +275,7 @@ def _balance_pass(adj, weights, assignment, num_parts, caps, rng,
     for column in range(weights.shape[1]):
         if avg[column] <= 0:
             continue
+        carries = weights[:, column] > 0
         for _move in range(max_moves):
             col_load = loads[:, column]
             needy = int(col_load.argmin())
@@ -231,28 +284,38 @@ def _balance_pass(adj, weights, assignment, num_parts, caps, rng,
             donors = np.flatnonzero(col_load > avg[column])
             if len(donors) == 0:
                 break
-            carries = weights[:, column] > 0
             candidates = np.flatnonzero(
                 np.isin(assignment, donors) & carries)
             if len(candidates) == 0:
                 break
             sample = candidates if len(candidates) <= 256 else rng.choice(
                 candidates, size=256, replace=False)
-            best_v, best_score = -1, np.inf
-            for v in sample:
-                row = slice(indptr[v], indptr[v + 1])
-                parts = assignment[indices[row]]
-                conn_needy = data[row][parts == needy].sum()
-                conn_cur = data[row][parts == assignment[v]].sum()
-                # Cut damage per unit of constraint weight moved.
-                score = (conn_cur - conn_needy) / weights[v, column]
-                if score < best_score:
-                    best_v, best_score = int(v), score
-            if best_v == -1:
+            # Cut damage per unit of constraint weight moved.  argmin is
+            # the first minimum, as a strict ``<`` scan from +inf picks;
+            # that scan picks nothing when every score is +inf.
+            score = (conn[sample, assignment[sample]] - conn[sample, needy]) \
+                / weights[sample, column]
+            best = int(score.argmin())
+            if not score[best] < np.inf:
                 break
+            best_v = int(sample[best])
             loads[assignment[best_v]] -= weights[best_v]
             loads[needy] += weights[best_v]
-            assignment[best_v] = needy
+            table.move(best_v, needy)
+    if FLAGS.sanitize:
+        check_connectivity(adj, assignment, conn, table.pos)
+
+
+def _check_knobs(imbalance, refine_passes):
+    """Reject a negative or non-finite imbalance and a negative or
+    fractional refinement pass count."""
+    if not (np.isfinite(imbalance) and imbalance >= 0):
+        raise PartitionError(
+            f"imbalance must be finite and >= 0, got {imbalance!r}")
+    if not (isinstance(refine_passes, (int, np.integer))
+            and refine_passes >= 0):
+        raise PartitionError(
+            f"refine_passes must be an integer >= 0, got {refine_passes!r}")
 
 
 def metis_partition(graph, num_parts, constraints=None, rng=None,
@@ -284,6 +347,8 @@ def metis_partition(graph, num_parts, constraints=None, rng=None,
     ``int64 (n,)`` assignment array.
     """
     n = graph.num_vertices
+    check_num_parts(n, num_parts)
+    _check_knobs(imbalance, refine_passes)
     if rng is None:
         rng = np.random.default_rng(0)
     unit = np.ones((n, 1))
@@ -293,9 +358,11 @@ def metis_partition(graph, num_parts, constraints=None, rng=None,
         constraints = np.asarray(constraints, dtype=np.float64)
         if constraints.ndim == 1:
             constraints = constraints[:, None]
-        if constraints.shape[0] != n or np.any(constraints < 0):
+        if constraints.ndim != 2 or constraints.shape[0] != n \
+                or not np.all(np.isfinite(constraints)) \
+                or np.any(constraints < 0):
             raise PartitionError(
-                "constraints must be a non-negative (n, c) matrix")
+                "constraints must be a finite non-negative (n, c) matrix")
         weights = np.hstack([unit, constraints])
     if coarsen_to is None:
         coarsen_to = max(128, 16 * num_parts)
@@ -361,6 +428,7 @@ class MetisPartitioner(Partitioner):
         if variant not in self.VARIANTS:
             raise PartitionError(
                 f"variant must be one of {self.VARIANTS}, got {variant!r}")
+        _check_knobs(imbalance, refine_passes)
         self.variant = variant
         self.imbalance = imbalance
         self.refine_passes = refine_passes

@@ -4,11 +4,14 @@ partitioner."""
 import numpy as np
 import pytest
 
-from repro.errors import PartitionError
+from repro.analysis.sanitize import check_connectivity
+from repro.errors import PartitionError, SanitizerError
 from repro.graph import load_dataset, planted_partition_graph
 from repro.partition import (HashPartitioner, MetisPartitioner,
                              balance_ratio, edge_cut_fraction,
                              metis_clusters, metis_partition)
+from repro.partition.metis import _Connectivity, _weighted_adjacency
+from repro.perf import PERF, perf_overrides
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +67,103 @@ class TestMetisPartition:
         with pytest.raises(PartitionError):
             metis_partition(graph, 2,
                             constraints=-np.ones(graph.num_vertices))
+
+
+class TestTypedErrors:
+    """Bad input raises :class:`PartitionError`, never a numpy error or
+    a silent wrong answer."""
+
+    @pytest.mark.parametrize("num_parts", [0, -1])
+    def test_num_parts_below_one(self, community_graph, num_parts):
+        graph, _ = community_graph
+        with pytest.raises(PartitionError, match="num_parts"):
+            metis_partition(graph, num_parts)
+
+    def test_more_parts_than_vertices(self, community_graph):
+        graph, _ = community_graph
+        with pytest.raises(PartitionError, match="cannot split"):
+            metis_partition(graph, graph.num_vertices + 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_constraints(self, community_graph, bad):
+        graph, _ = community_graph
+        constraints = np.ones(graph.num_vertices)
+        constraints[3] = bad
+        with pytest.raises(PartitionError, match="finite"):
+            metis_partition(graph, 2, constraints=constraints)
+
+    def test_three_dimensional_constraints(self, community_graph):
+        graph, _ = community_graph
+        with pytest.raises(PartitionError, match="matrix"):
+            metis_partition(graph, 2,
+                            constraints=np.ones((graph.num_vertices, 2, 2)))
+
+    @pytest.mark.parametrize("imbalance", [-0.1, np.nan, np.inf])
+    def test_bad_imbalance(self, community_graph, imbalance):
+        graph, _ = community_graph
+        with pytest.raises(PartitionError, match="imbalance"):
+            metis_partition(graph, 2, imbalance=imbalance)
+        with pytest.raises(PartitionError, match="imbalance"):
+            MetisPartitioner("v", imbalance=imbalance)
+
+    @pytest.mark.parametrize("passes", [-1, 1.5])
+    def test_bad_refine_passes(self, community_graph, passes):
+        graph, _ = community_graph
+        with pytest.raises(PartitionError, match="refine_passes"):
+            metis_partition(graph, 2, refine_passes=passes)
+        with pytest.raises(PartitionError, match="refine_passes"):
+            MetisPartitioner("v", refine_passes=passes)
+
+    def test_zero_knobs_accepted(self, community_graph):
+        graph, _ = community_graph
+        assignment = metis_partition(graph, 2, imbalance=0.0,
+                                     refine_passes=0,
+                                     rng=np.random.default_rng(0))
+        assert len(assignment) == graph.num_vertices
+
+
+class TestConnectivitySanitizer:
+    def test_runs_inside_refinement(self, community_graph):
+        graph, _ = community_graph
+        before = PERF.counters.get("sanitize_connectivity_checks", 0)
+        metis_partition(graph, 4, rng=np.random.default_rng(1))
+        assert PERF.counters["sanitize_connectivity_checks"] > before
+
+    def test_moves_keep_the_table_fresh(self, community_graph):
+        graph, _ = community_graph
+        adj = _weighted_adjacency(graph)
+        assignment = np.random.default_rng(0).integers(
+            0, 3, size=graph.num_vertices)
+        table = _Connectivity(adj, assignment, 3)
+        for v in range(0, graph.num_vertices, 7):
+            table.move(v, (assignment[v] + 1) % 3)
+        check_connectivity(adj, assignment, table.conn, table.pos)
+
+    def test_stale_entry_and_flag_are_caught(self, community_graph):
+        graph, _ = community_graph
+        adj = _weighted_adjacency(graph)
+        assignment = np.zeros(graph.num_vertices, dtype=np.int64)
+        assignment[::2] = 1
+        table = _Connectivity(adj, assignment, 2)
+        conn, pos = table.conn.copy(), table.pos.copy()
+        conn[5, 0] += 1.0
+        with pytest.raises(SanitizerError, match="vertex 5"):
+            check_connectivity(adj, assignment, conn, table.pos)
+        pos[9] = not pos[9]
+        with pytest.raises(SanitizerError, match="flag of vertex 9"):
+            check_connectivity(adj, assignment, table.conn, pos)
+
+    def test_no_op_when_disarmed(self, community_graph):
+        graph, _ = community_graph
+        adj = _weighted_adjacency(graph)
+        assignment = np.zeros(graph.num_vertices, dtype=np.int64)
+        before = PERF.counters.get("sanitize_connectivity_checks", 0)
+        with perf_overrides(sanitize=False):
+            check_connectivity(adj, assignment,
+                               np.full((graph.num_vertices, 2), -1.0),
+                               np.ones(graph.num_vertices, dtype=bool))
+        assert PERF.counters.get("sanitize_connectivity_checks", 0) \
+            == before
 
     def test_every_vertex_assigned(self, community_graph):
         graph, _ = community_graph
