@@ -68,6 +68,19 @@ class TestMetisPartition:
             metis_partition(graph, 2,
                             constraints=-np.ones(graph.num_vertices))
 
+    def test_every_vertex_assigned(self, community_graph):
+        graph, _ = community_graph
+        assignment = metis_partition(graph, 3,
+                                     rng=np.random.default_rng(4))
+        assert len(assignment) == graph.num_vertices
+        assert assignment.min() >= 0 and assignment.max() < 3
+
+    def test_two_parts(self, community_graph):
+        graph, _ = community_graph
+        assignment = metis_partition(graph, 2,
+                                     rng=np.random.default_rng(5))
+        assert set(np.unique(assignment)) == {0, 1}
+
 
 class TestTypedErrors:
     """Bad input raises :class:`PartitionError`, never a numpy error or
@@ -164,19 +177,6 @@ class TestConnectivitySanitizer:
                                np.ones(graph.num_vertices, dtype=bool))
         assert PERF.counters.get("sanitize_connectivity_checks", 0) \
             == before
-
-    def test_every_vertex_assigned(self, community_graph):
-        graph, _ = community_graph
-        assignment = metis_partition(graph, 3,
-                                     rng=np.random.default_rng(4))
-        assert len(assignment) == graph.num_vertices
-        assert assignment.min() >= 0 and assignment.max() < 3
-
-    def test_two_parts(self, community_graph):
-        graph, _ = community_graph
-        assignment = metis_partition(graph, 2,
-                                     rng=np.random.default_rng(5))
-        assert set(np.unique(assignment)) == {0, 1}
 
 
 class TestMetisClusters:
