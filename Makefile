@@ -14,7 +14,7 @@ help:
 	@echo "chaos       run the fault-recovery benchmark alone"
 	@echo "fleet-chaos run the fleet resilience chaos certification"
 	@echo "kernel-bench time sparse-kernel backends vs the reference"
-	@echo "perfbench-check wall-clock benchmark self-tests + a 3-round correctness run"
+	@echo "perfbench-check wall-clock benchmark self-tests + a 3-round correctness run, untraced and traced"
 	@echo "examples    run all runnable examples"
 	@echo "docs        regenerate docs/api.md"
 	@echo "reproduce   write reproduction_report.md from all benchmarks"
@@ -88,11 +88,14 @@ kernel-bench:
 
 # The wall-clock benchmark (perfbench/, declared in BENCHMARK.json):
 # its own tests, which pytest's testpaths never collects, then three
-# rounds per workload.  Gates on the exit code, i.e. on every
-# workload's outputs being correct; the timings are report-only.
+# rounds per workload, untraced and traced.  Gates on the exit code,
+# i.e. on every workload's outputs being correct and, traced, on every
+# expected span firing (a deleted or bypassed entry point fails); the
+# timings are report-only.
 perfbench-check:
 	python -m pytest perfbench/tests -q
 	python3 perfbench/run.py --seconds 0 --trace 0
+	python3 perfbench/run.py --seconds 0 --trace 1
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f || exit 1; done

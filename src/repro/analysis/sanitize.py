@@ -1,6 +1,6 @@
 """Runtime sanitizers: loud failure for silent numeric corruption.
 
-Five checks, all gated on :attr:`repro.perf.flags.PerfFlags.sanitize`
+Six checks, all gated on :attr:`repro.perf.flags.PerfFlags.sanitize`
 and all **zero-cost when the flag is off** (hot paths guard the call
 itself behind ``if FLAGS.sanitize``; the helpers additionally return
 immediately):
@@ -16,6 +16,9 @@ immediately):
 ``check_readiness``
     The fleet loop's cached dispatch-readiness times against a fresh
     poll of every replica.
+``check_accounting``
+    The serving loop's request accounting: every request answered,
+    rejected or shed exactly once.
 ``check_connectivity``
     The METIS refinement's incremental vertex-to-part connectivity
     table and positive-gain flags against a fresh recomputation.
@@ -45,7 +48,8 @@ from ..perf.flags import FLAGS
 from ..perf.profiler import PERF
 
 __all__ = ["check_finite", "check_csr", "check_contract",
-           "check_readiness", "check_connectivity", "sanitize_active"]
+           "check_readiness", "check_accounting", "check_connectivity",
+           "sanitize_active"]
 
 
 def sanitize_active():
@@ -161,6 +165,37 @@ def check_readiness(replicas, ready_at, draining):
             raise SanitizerError(
                 f"replica {replica.replica_id}: cached dispatch "
                 f"readiness {cached!r} but a fresh poll gives {fresh!r}")
+
+
+def check_accounting(responses, dropped_ids, rejected, shed,
+                     num_requests):
+    """Validate one serving run's request accounting; no-op when
+    ``FLAGS.sanitize`` is off.
+
+    Answered request ids (``responses``) must be unique, dropped ids
+    unique and disjoint from the answered ones, and ``completed +
+    rejected + shed`` (drops count as rejections) must equal the
+    ``num_requests`` arrivals: every request ends exactly once.
+    """
+    if not FLAGS.sanitize:
+        return
+    PERF.count("sanitize_accounting_checks")
+    answered = {r.request.request_id for r in responses}
+    if len(answered) != len(responses):
+        raise SanitizerError(
+            f"{len(responses) - len(answered)} requests answered twice")
+    dropped = set(dropped_ids)
+    if len(dropped) != len(dropped_ids):
+        raise SanitizerError(
+            f"{len(dropped_ids) - len(dropped)} requests dropped twice")
+    if dropped & answered:
+        raise SanitizerError(
+            f"requests both answered and dropped: "
+            f"{sorted(dropped & answered)[:5]}")
+    if len(responses) + rejected + shed != num_requests:
+        raise SanitizerError(
+            f"{len(responses)} answered + {rejected} rejected + {shed} "
+            f"shed != {num_requests} arrivals")
 
 
 def check_connectivity(adj, assignment, conn, pos):

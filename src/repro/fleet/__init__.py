@@ -1,7 +1,8 @@
 """Sharded multi-replica serving with partition-aware routing.
 
-The fleet tier scales the single-server serving engine
-(:mod:`repro.serve`) out: a graph partition from
+The fleet tier holds the serving event loop (the single-server
+:class:`~repro.serve.engine.ServeEngine` is its 1-replica case) and
+scales it out: a graph partition from
 :mod:`repro.partition` assigns every vertex an owning shard, each
 shard is served by one :class:`~repro.fleet.replica.ReplicaServer`
 (its own micro-batch queue, cache hierarchy, and seeded sampling

@@ -1,13 +1,15 @@
-"""The sharded serving fleet: N replicas, one shard each, one router.
+"""The serving event loop: N replicas, one shard each, one router.
 
-:class:`FleetEngine` generalizes the single-server
-:class:`~repro.serve.engine.ServeEngine` queueing simulation to a
-multi-replica discrete-event loop:
+:class:`FleetEngine` is the repo's only serving event loop, a
+discrete-event simulation of micro-batched inference on the simulated
+clock; the single server (:class:`~repro.serve.engine.ServeEngine`) is
+its 1-replica case.
 
 * each replica owns one shard of a :mod:`repro.partition` result and
   runs its own :class:`~repro.serve.batcher.MicroBatcher` +
   :class:`~repro.fleet.replica.ShardExecutor` (remote rows billed over
-  the network);
+  the network), with optional deadline shedding and the ``sampled``
+  mode's degraded fallback;
 * the :class:`~repro.fleet.router.Router` sends every request to the
   owner of its seed vertex, spilling/failing over by penalized queue
   depth;
@@ -26,10 +28,10 @@ multi-replica discrete-event loop:
   mechanism defaults off, and the off path is bit-identical to the
   baseline engine.
 
-Everything runs on the simulated clock; the loop's event order —
-faults, then arrivals/re-submissions, then dispatches, at equal times
-— makes a 1-replica fleet reproduce ``ServeEngine``'s batch sequence
-exactly.  Answers in ``precomputed`` mode are row-wise
+The loop's event order at equal times is faults, then arrivals and
+re-submissions, then dispatches.  Every request ends exactly once:
+answered, rejected (dropped ones included), or shed.  Answers in
+``precomputed`` mode are row-wise
 (:meth:`~repro.serve.precompute.LayerwiseEmbeddings.rowwise_logits`)
 and therefore *bit-identical* to the single server's for the same
 trace, regardless of how routing re-batched the requests — the
@@ -43,7 +45,7 @@ import heapq
 
 import numpy as np
 
-from ..analysis.sanitize import check_readiness
+from ..analysis.sanitize import check_accounting, check_readiness
 from ..core.config import make_partitioner
 from ..errors import FleetError, ServingError
 from ..faults.retry import RetryPolicy
@@ -72,7 +74,9 @@ class FleetEngine:
     Parameters
     ----------
     dataset, model:
-        As in :class:`~repro.serve.engine.ServeEngine`.
+        The :class:`~repro.graph.datasets.Dataset` being served and a
+        trained block-stack model (``GCN``/``GraphSAGE``; ``sampled``
+        mode also accepts ``GAT``).
     partition:
         Either a :class:`~repro.partition.base.PartitionResult` (its
         part count fixes the fleet size) or a partitioner name from
@@ -84,10 +88,15 @@ class FleetEngine:
         is a name.
     mode, policy, max_queue, fanout, cache_policy, cache_ratio,
     warm_ratio, cache_scores, spec, seed, embeddings:
-        As in ``ServeEngine`` — applied per replica (each replica gets
-        its own cache with the same budgets; ``cache_ratio`` remains a
-        fraction of the *full* row universe).  A precomputed/full
-        embedding table is built once and shared by every replica.
+        As documented on :class:`~repro.serve.engine.ServeEngine` —
+        applied per replica (each replica gets its own cache with the
+        same budgets; ``cache_ratio`` remains a fraction of the *full*
+        row universe).  A precomputed/full embedding table is built
+        once and shared by every replica.
+    deadline, fallback:
+        Per-request deadline in simulated seconds, and the ``sampled``
+        mode's degraded fallback (needs a deadline): see
+        :meth:`~repro.fleet.replica.ReplicaServer.dispatch`.
     routing:
         A :class:`~repro.fleet.router.RoutingPolicy` (default:
         owner-first, no spillover).
@@ -136,10 +145,21 @@ class FleetEngine:
                  spec=None, seed=0, embeddings=None, routing=None,
                  autoscale=None, crashes=(), retry=None,
                  resilience=None, schedule=None, recovery=None,
-                 replication=None):
+                 replication=None, deadline=None, fallback=False):
         if mode not in SERVE_MODES:
             raise ServingError(
                 f"unknown serve mode {mode!r}; known: {SERVE_MODES}")
+        if deadline is not None and deadline <= 0:
+            raise ServingError(
+                f"deadline must be positive, got {deadline}")
+        if fallback and mode != "sampled":
+            raise ServingError(
+                "fallback degradation only applies to 'sampled' mode "
+                f"(mode {mode!r} already serves from the table)")
+        if fallback and deadline is None:
+            raise ServingError(
+                "fallback degradation needs a deadline to degrade "
+                "against")
         if isinstance(partition, PartitionResult):
             if num_replicas is not None \
                     and num_replicas != partition.num_parts:
@@ -169,6 +189,8 @@ class FleetEngine:
         self.max_queue = max_queue
         self.spec = spec or DEFAULT_SPEC
         self.seed = int(seed)
+        self.deadline = None if deadline is None else float(deadline)
+        self.fallback = bool(fallback)
         self.shards = ShardMap(partition, dataset.graph)
         self.num_replicas = self.shards.num_shards
         self.routing = routing
@@ -197,15 +219,18 @@ class FleetEngine:
         # once and replicates them (they are read-only), so the offline
         # cost is charged once, not per replica.
         self.embeddings = embeddings
-        if mode != "sampled" and self.embeddings is None:
+        if (mode != "sampled" or self.fallback) \
+                and self.embeddings is None:
             self.embeddings = LayerwiseEmbeddings(
                 model, dataset.graph, dataset.features)
         self._executor_kwargs = dict(
             mode=mode, fanout=fanout, cache_policy=cache_policy,
             cache_ratio=cache_ratio, warm_ratio=warm_ratio,
             cache_scores=cache_scores, spec=self.spec,
-            embeddings=self.embeddings)
-        self.replicas = []
+            embeddings=self.embeddings, need_embeddings=self.fallback)
+        # Built here so a bad cache configuration fails at construction;
+        # every run() then starts from fresh replicas.
+        self._build_replicas()
 
     def _check_crashes(self, crashes):
         events = []
@@ -230,7 +255,8 @@ class FleetEngine:
                 ShardExecutor(self.shards, i, self.dataset, self.model,
                               **self._executor_kwargs),
                 policy=self.policy, max_queue=self.max_queue,
-                seed=self.seed)
+                seed=self.seed, deadline=self.deadline,
+                fallback=self.fallback)
             for i in range(self.num_replicas)]
         return self.replicas
 
@@ -307,7 +333,8 @@ class FleetEngine:
         completions = []     # (completion time, seq, response)
         assigned = {}        # request_id -> replica ids holding a copy
         hedge_target = {}    # request_id -> the hedge copy's replica
-        done_ids = set()     # first-response-wins dedup
+        live = {}            # request_id -> copies not yet ended
+        done_ids = set()     # requests that have ended
         latencies = []       # completed latencies, sorted -> p95 delay
         hedges_launched = 0
         hedges_won = 0
@@ -316,6 +343,7 @@ class FleetEngine:
 
         responses = []
         rejected = 0
+        shed = 0
         requeued = 0
         budget_dropped = 0
         dropped_ids = []
@@ -351,22 +379,48 @@ class FleetEngine:
             if FLAGS.sanitize:
                 check_readiness(replicas, ready_at, draining)
 
+        def finish(request, outcome, response=None):
+            """End one copy of ``request`` as ``outcome`` ("answered",
+            "rejected", "dropped" or "shed"); returns whether that ended
+            the request.  A hedged request ends with its first answer,
+            or with its last copy when none answered, so every request
+            is counted exactly once."""
+            nonlocal rejected, shed
+            rid = request.request_id
+            if hedge is not None:
+                if rid in done_ids:
+                    return False
+                live[rid] -= 1
+                if outcome != "answered" and live[rid]:
+                    return False
+                done_ids.add(rid)
+            if outcome == "answered":
+                responses.append(response)
+            elif outcome == "shed":
+                shed += 1
+            else:
+                rejected += 1
+                if outcome == "dropped":
+                    dropped_ids.append(rid)
+            return True
+
         def route_in(request):
-            nonlocal rejected, pending_seq
-            if hedge is not None and request.request_id in done_ids:
-                return  # a hedge twin already answered it
+            nonlocal pending_seq
+            if hedge is not None:
+                if request.request_id in done_ids:
+                    return  # a hedge twin already ended it
+                live.setdefault(request.request_id, 1)
             try:
                 replica, is_owner = router.route(request, now=clock)
             except FleetError:
                 # Every replica is down: open-loop load cannot wait
                 # for the cluster — the request is lost (dropped, and
                 # surfaced as such in the report).
-                rejected += 1
-                dropped_ids.append(request.request_id)
+                finish(request, "dropped")
                 return
             stale.add(replica.replica_id)
             if not replica.submit(request, is_owner):
-                rejected += 1
+                finish(request, "rejected")
                 return
             if hedge is not None:
                 copies = assigned.setdefault(request.request_id, [])
@@ -424,9 +478,8 @@ class FleetEngine:
                             if count > budget:
                                 # Retry budget exhausted: bound the
                                 # amplification, drop the request.
-                                rejected += 1
-                                budget_dropped += 1
-                                dropped_ids.append(orphan.request_id)
+                                if finish(orphan, "dropped"):
+                                    budget_dropped += 1
                                 continue
                         pending_seq += 1
                         heapq.heappush(pending,
@@ -481,14 +534,12 @@ class FleetEngine:
             # copy still queued elsewhere.
             while completions and completions[0][0] <= clock:
                 _, _, response = heapq.heappop(completions)
-                rid = response.request.request_id
-                if rid in done_ids:
+                if not finish(response.request, "answered", response):
                     hedges_wasted += 1
                     continue
-                done_ids.add(rid)
                 bisect.insort(latencies, response.completion
                               - response.request.arrival)
-                responses.append(response)
+                rid = response.request.request_id
                 if hedge_target.get(rid) is None:
                     continue
                 if response.replica == hedge_target[rid]:
@@ -533,6 +584,7 @@ class FleetEngine:
                 if not replica.submit(request, is_owner):
                     continue
                 assigned[rid].append(replica.replica_id)
+                live[rid] += 1
                 hedge_target[rid] = replica.replica_id
                 hedges_launched += 1
 
@@ -554,11 +606,15 @@ class FleetEngine:
                                                  slowlink=slowlink)
                     else:
                         batch = replica.dispatch(clock)
+                    for request in replica.last_shed:
+                        finish(request, "shed")
                     if breakers is not None:
                         breakers[replica.replica_id].record_success(
                             clock)
                     if hedge is None:
-                        responses.extend(batch)
+                        for response in batch:
+                            finish(response.request, "answered",
+                                   response)
                     else:
                         for response in batch:
                             pending_seq += 1
@@ -599,15 +655,16 @@ class FleetEngine:
                     recovery.cold_recoveries if recovery else 0,
             }
 
+        check_accounting(responses, dropped_ids, rejected, shed, n)
         PERF.count("fleet_requests", len(responses))
-        return self._report(n, responses, rejected, requeued, router,
-                            autoscaler, replicas, dropped_ids,
+        return self._report(n, responses, rejected, shed, requeued,
+                            router, autoscaler, replicas, dropped_ids,
                             resilience_stats)
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def _report(self, num_requests, responses, rejected, requeued,
+    def _report(self, num_requests, responses, rejected, shed, requeued,
                 router, autoscaler, replicas, dropped_ids=(),
                 resilience_stats=None):
         merged = StageProfiler()
@@ -686,6 +743,8 @@ class FleetEngine:
             replicas_active_max=active_max,
             dropped=len(dropped_ids),
             dropped_request_ids=list(dropped_ids),
+            shed=shed,
+            degraded=sum(1 for r in responses if r.degraded),
             replication_factor=self.shards.replication_factor(),
             resilience=resilience_stats,
             replicas=[r.report() for r in replicas],

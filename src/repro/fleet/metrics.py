@@ -128,6 +128,8 @@ class FleetReport:
     #                                the retry budget (subset of
     #                                ``rejected``); their ids are kept
     dropped_request_ids: list = field(default_factory=list)
+    shed: int = 0                  # past their deadline at dispatch
+    degraded: int = 0              # answered by the precomputed fallback
     replication_factor: float = 1.0
     resilience: dict | None = None  # detector/hedge/breaker/recovery
     #                                 counters; None on baseline runs

@@ -7,16 +7,16 @@ one graph shard: any row the local hierarchy cannot resolve is split by
 :class:`~repro.fleet.shards.ShardMap` ownership, and the foreign rows
 are billed over the cluster network
 (:meth:`~repro.transfer.hardware.HardwareSpec.network_time`, one
-message per distinct owning shard) instead of local disk.  With an
-all-local fetch the billing formulas reduce *exactly* to the base
-executor's — a 1-replica fleet charges bit-identical seconds to a
-single :class:`~repro.serve.engine.ServeEngine`, which the equivalence
-tests pin down.
+message per distinct owning shard) instead of local disk.  It
+overrides only that remote split: a fetch without remote rows is billed
+by the base executor itself, so the single server — a 1-replica fleet —
+charges exactly the base executor's seconds.
 
 :class:`ReplicaServer` is the queueing shell around one executor: a
 per-replica :class:`~repro.serve.batcher.MicroBatcher`, a seeded rng,
 a :class:`~repro.perf.StageProfiler` recording latency/batch/queue
-distributions, and the liveness flags (``alive`` — crash faults;
+distributions, deadline shedding and the degraded fallback, and the
+liveness flags (``alive`` — crash faults;
 ``active``/``draining`` — autoscaling) the router and fleet engine
 steer by.  It holds no clock: the engine passes simulated time in.
 """
@@ -67,95 +67,78 @@ class ShardExecutor(BatchExecutor):
         self.last_remote_rows = 0
         self.last_remote_seconds = 0.0
 
-    def reset_counters(self):
-        super().reset_counters()
-        self.local_rows = 0
-        self.remote_rows = 0
-        self.remote_seconds = 0.0
-        self.last_remote_rows = 0
-        self.last_remote_seconds = 0.0
-
-    def _remote_cost(self, remote, row_bytes, pcie_share):
+    def _bill_remote(self, remote, row_bytes, pcie_share):
         """Network path of a remote fetch: scatter-gather on the owning
         nodes, one network message per distinct owner shard, plus this
         fetch's share of the local PCIe DMA."""
         remote_bytes = len(remote) * row_bytes
-        owners = self.shards.owner(remote)
-        messages = len(np.unique(owners))
-        return (self.spec.gather_time(remote_bytes)
-                + self.spec.network_time(remote_bytes, messages=messages)
-                + pcie_share)
+        messages = len(np.unique(self.shards.owner(remote)))
+        seconds = (self.spec.gather_time(remote_bytes)
+                   + self.spec.network_time(remote_bytes,
+                                            messages=messages)
+                   + pcie_share)
+        self.remote_seconds += seconds
+        self.last_remote_seconds = seconds
+        return seconds
+
+    def _remote(self, ids, total):
+        """The rows of ``ids`` this shard does not hold; counts this
+        fetch's ``total`` rows as local or remote."""
+        remote = ids[self.shards.remote_mask(self.replica_id, ids)]
+        self.local_rows += total - len(remote)
+        self.remote_rows += len(remote)
+        self.last_remote_rows = len(remote)
+        self.last_remote_seconds = 0.0
+        return remote
 
     def _bill_tiered(self, lookup, row_bytes):
         """Tiered billing with the cold tier split by ownership: local
         cold rows keep the disk path, remote cold rows pay the network
-        path.  PCIe is shared by bytes over everything moved, with the
-        remainder-style arithmetic ordered so a zero-remote fetch
-        reproduces :meth:`TieredCache.bill` bit for bit."""
+        path, and PCIe is shared by bytes over everything moved.  A
+        fetch without remote rows is the base executor's bill."""
         cold = lookup.cold_ids
-        local_cold, remote_cold = self.shards.split_local_remote(
-            self.replica_id, cold)
-        self.last_remote_rows = len(remote_cold)
-        self.remote_rows += len(remote_cold)
-        self.local_rows += lookup.num_hot + lookup.num_warm \
-            + len(local_cold)
+        remote = self._remote(cold, len(lookup.vertices))
+        if not len(remote):
+            return super()._bill_tiered(lookup, row_bytes)
 
         warm_bytes = lookup.num_warm * row_bytes
-        lcold_bytes = len(local_cold) * row_bytes
-        rcold_bytes = len(remote_cold) * row_bytes
+        lcold_bytes = (len(cold) - len(remote)) * row_bytes
+        rcold_bytes = len(remote) * row_bytes
         moved = warm_bytes + lcold_bytes + rcold_bytes
-        pcie = self.spec.pcie_time(moved) if moved else 0.0
-        warm_share = pcie * warm_bytes / moved if moved else 0.0
-        nonwarm_share = pcie - warm_share if moved else 0.0
-        if rcold_bytes and lcold_bytes:
-            remote_share = (nonwarm_share * rcold_bytes
-                            / (lcold_bytes + rcold_bytes))
-            lcold_share = nonwarm_share - remote_share
-        elif rcold_bytes:
-            remote_share, lcold_share = nonwarm_share, 0.0
-        else:
-            remote_share, lcold_share = 0.0, nonwarm_share
+        pcie = self.spec.pcie_time(moved)
+        warm_share = pcie * warm_bytes / moved
+        nonwarm_share = pcie - warm_share
+        remote_share = (nonwarm_share * rcold_bytes
+                        / (lcold_bytes + rcold_bytes)) if lcold_bytes \
+            else nonwarm_share
 
         warm_seconds = (self.spec.host_cache_time(warm_bytes)
                         + warm_share) if warm_bytes else 0.0
         lcold_seconds = (self.spec.disk_time(lcold_bytes)
                          + self.spec.gather_time(lcold_bytes)
-                         + lcold_share) if lcold_bytes else 0.0
-        remote_seconds = self._remote_cost(
-            remote_cold, row_bytes, remote_share) if rcold_bytes else 0.0
-
+                         + (nonwarm_share - remote_share)) \
+            if lcold_bytes else 0.0
+        remote_seconds = self._bill_remote(remote, row_bytes,
+                                           remote_share)
         self.tier_seconds["warm"] += warm_seconds
         self.tier_seconds["cold"] += lcold_seconds + remote_seconds
-        self.remote_seconds += remote_seconds
-        self.last_remote_seconds = remote_seconds
         return warm_seconds + lcold_seconds + remote_seconds
 
     def _bill_flat(self, misses, row_bytes):
-        """Flat billing with misses split by ownership (same PCIe
-        sharing and zero-remote reduction as the tiered path)."""
-        local, remote = self.shards.split_local_remote(
-            self.replica_id, misses)
-        self.last_remote_rows = len(remote)
-        self.remote_rows += len(remote)
-        self.local_rows += len(local)
+        """Flat billing with misses split by ownership (PCIe shared by
+        bytes, as on the tiered path)."""
+        remote = self._remote(misses, len(misses))
+        if not len(remote):
+            return super()._bill_flat(misses, row_bytes)
 
-        local_bytes = len(local) * row_bytes
+        local_bytes = (len(misses) - len(remote)) * row_bytes
         remote_bytes = len(remote) * row_bytes
-        moved = local_bytes + remote_bytes
-        self.last_remote_seconds = 0.0
-        if moved == 0:
-            return 0.0
-        pcie = self.spec.pcie_time(moved)
-        remote_share = pcie * remote_bytes / moved if remote_bytes \
-            else 0.0
-        local_share = pcie - remote_share
+        pcie = self.spec.pcie_time(local_bytes + remote_bytes)
+        remote_share = pcie * remote_bytes / (local_bytes + remote_bytes)
         local_seconds = (self.spec.gather_time(local_bytes)
-                         + local_share) if local_bytes else 0.0
-        remote_seconds = self._remote_cost(
-            remote, row_bytes, remote_share) if remote_bytes else 0.0
-        self.remote_seconds += remote_seconds
-        self.last_remote_seconds = remote_seconds
-        return local_seconds + remote_seconds
+                         + (pcie - remote_share)) if local_bytes else 0.0
+        return local_seconds + self._bill_remote(remote, row_bytes,
+                                                 remote_share)
 
 
 class ReplicaServer:
@@ -176,10 +159,14 @@ class ReplicaServer:
     seed:
         Base seed; the node's rng is ``default_rng((seed, replica_id))``
         so replicas draw independent, reproducible sampling streams.
+    deadline, fallback:
+        Per-request deadline (simulated seconds) and the ``sampled``
+        mode's degraded fallback, as in ``FleetEngine``, which
+        validates them.
     """
 
     def __init__(self, replica_id, shards, executor, policy=None,
-                 max_queue=None, seed=0):
+                 max_queue=None, seed=0, deadline=None, fallback=False):
         if executor.replica_id != replica_id:
             raise FleetError(
                 f"executor serves shard {executor.replica_id}, "
@@ -191,6 +178,10 @@ class ReplicaServer:
         self.policy = self.batcher.policy
         self.rng = np.random.default_rng((int(seed), self.replica_id))
         self.metrics = StageProfiler()
+        self.deadline = deadline
+        self.fallback = fallback
+        self.service_estimate = None   # EWMA of the service time
+        self.last_shed = []            # requests the last dispatch shed
 
         self.free_at = 0.0          # simulated time the node idles again
         self.alive = True           # False while a crash fault holds
@@ -202,6 +193,8 @@ class ReplicaServer:
         self.spill_routed = 0
         self.completed = 0
         self.rejected = 0
+        self.shed = 0
+        self.degraded = 0
         self.zero_remote_completed = 0
         self.num_batches = 0
         self.bp_seconds = 0.0
@@ -240,18 +233,23 @@ class ReplicaServer:
         batch, or ``None`` when it has nothing to dispatch.  ``draining``
         is the *fleet-wide* no-more-arrivals flag (partial batches then
         flush immediately)."""
-        if not self.alive or len(self.batcher) == 0:
+        if not self.alive:
             return None
-        full = len(self.batcher) >= self.policy.max_batch_size
-        if full or draining or self.draining:
-            ready_at = 0.0
-        else:
-            ready_at = self.batcher.oldest_deadline()
-        return max(self.free_at, ready_at)
+        ready_at = self.batcher.ready(draining=draining or self.draining)
+        return None if ready_at is None else max(self.free_at, ready_at)
 
     def dispatch(self, clock, straggle=1.0, slowlink=1.0):
         """Serve one micro-batch at simulated time ``clock``; returns
         the responses (stamped with this replica's id).
+
+        With a ``deadline``, requests already past it are *shed* first
+        (answering them late wastes capacity the live requests need);
+        they are left in ``last_shed``, and a batch shed whole returns
+        no responses and leaves the node idle.  With ``fallback``, a
+        batch whose estimated service time (an EWMA of past batches)
+        would push its oldest request past the deadline is answered from
+        the precomputed table instead (exact-but-stale beats
+        sampled-but-late) and its responses are flagged ``degraded``.
 
         ``straggle`` multiplies the whole service time (a slow node);
         ``slowlink`` scales network bandwidth, stretching this batch's
@@ -259,15 +257,40 @@ class ReplicaServer:
         and are only *applied* when they differ — the healthy path's
         float arithmetic is untouched (bit-exact baseline)."""
         batch = self.batcher.take()
+        self.last_shed = []
+        if self.deadline is not None:
+            self.last_shed = [r for r in batch
+                              if clock > r.arrival + self.deadline]
+            if self.last_shed:
+                self.shed += len(self.last_shed)
+                batch = [r for r in batch
+                         if clock <= r.arrival + self.deadline]
+                if not batch:
+                    return []
+        degrade = (self.fallback and self.service_estimate is not None
+                   and clock + self.service_estimate
+                   > min(r.arrival for r in batch) + self.deadline)
+
         vertices = np.array([r.vertex for r in batch], dtype=np.int64)
-        predictions, bp, dt, nn = self.executor.execute(vertices,
-                                                        self.rng)
+        if degrade:
+            predictions, bp, dt, nn = \
+                self.executor.execute_degraded(vertices)
+            self.degraded += len(batch)
+            remote_rows, remote_seconds = 0, 0.0
+        else:
+            predictions, bp, dt, nn = self.executor.execute(vertices,
+                                                            self.rng)
+            remote_rows = self.executor.last_remote_rows
+            remote_seconds = self.executor.last_remote_seconds
         service = bp + dt + nn
         if slowlink != 1.0:
-            service += self.executor.last_remote_seconds \
-                * (1.0 / slowlink - 1.0)
+            service += remote_seconds * (1.0 / slowlink - 1.0)
         if straggle != 1.0:
             service *= straggle
+        if self.fallback and not degrade:
+            self.service_estimate = service \
+                if self.service_estimate is None \
+                else 0.5 * (self.service_estimate + service)
         completion = clock + service
         self.free_at = completion
 
@@ -276,7 +299,7 @@ class ReplicaServer:
         self.bp_seconds += bp
         self.dt_seconds += dt
         self.nn_seconds += nn
-        if self.executor.last_remote_rows == 0:
+        if remote_rows == 0:
             self.zero_remote_completed += len(batch)
         self.metrics.observe("batch_size", len(batch))
 
@@ -287,7 +310,8 @@ class ReplicaServer:
             responses.append(InferenceResponse(
                 request=request, prediction=int(prediction),
                 completion=completion, batch_id=self.num_batches,
-                batch_size=len(batch), replica=self.replica_id))
+                batch_size=len(batch), degraded=degrade,
+                replica=self.replica_id))
         return responses
 
     def crash(self, clock, down_seconds, cold=False):

@@ -15,13 +15,13 @@ Layers (top to bottom):
   counters via :data:`repro.perf.PERF`;
 * backends — :mod:`~repro.kernels.reference` (pinned numpy semantics),
   :mod:`~repro.kernels.scipy_backend` (compiled CSR SpMM, bit-identical
-  to the reference), :mod:`~repro.kernels.numba_backend` (optional);
+  to the reference);
 * :mod:`~repro.kernels.adjacency` — :class:`KernelCSR` /
   :class:`KernelCOO` containers and the shared transpose/normalization
   constructions.
 
 Select a backend globally with ``FLAGS.kernel_backend`` (``"auto"``,
-``"reference"``, ``"scipy"``, ``"numba"``) or per call via
+``"reference"``, ``"scipy"``) or per call via
 ``backend=``; see ``docs/architecture.md`` ("Kernel registry").
 """
 

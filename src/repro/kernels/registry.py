@@ -36,7 +36,6 @@ from ..perf import FLAGS, PERF
 from .adjacency import KernelCOO, as_adjacency
 from .reference import ReferenceBackend
 from .scipy_backend import ScipyBackend
-from .numba_backend import NumbaBackend
 
 __all__ = ["register_backend", "available_backends", "resolve_backend",
            "gspmm_forward", "gsddmm_forward", "edge_softmax_forward",
@@ -71,7 +70,6 @@ def register_backend(backend, accelerated=True):
 
 _REFERENCE = register_backend(ReferenceBackend(), accelerated=False)
 register_backend(ScipyBackend())
-register_backend(NumbaBackend())
 
 
 def available_backends():

@@ -18,7 +18,8 @@ Pieces:
 * :mod:`~repro.serve.precompute` — :class:`LayerwiseEmbeddings`,
   bit-identical precomputed vs on-demand full-fanout inference;
 * :mod:`~repro.serve.engine` — the :class:`ServeEngine` simulated
-  single-node server with three execution modes;
+  single-node server with three execution modes (a 1-replica
+  :class:`~repro.fleet.engine.FleetEngine`);
 * :mod:`~repro.serve.metrics` — :class:`ServeReport` latency/throughput
   digests built on :meth:`repro.perf.StageProfiler.observe`;
 * :mod:`~repro.serve.bench` — the ``repro serve-bench`` sweep.

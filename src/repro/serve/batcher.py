@@ -102,20 +102,22 @@ class MicroBatcher:
             return None
         return self._queue[0].arrival + self.policy.max_wait
 
-    def ready(self, now, draining=False):
-        """Whether a batch should be dispatched at time ``now``.
+    def ready(self, now=None, draining=False):
+        """The flush rule: when the head batch becomes dispatchable.
 
-        True when the queue holds a full batch, the oldest request's
-        ``max_wait`` deadline has passed, or ``draining`` (no further
-        arrivals will ever come, so waiting is pointless).
+        At once (``0.0``) when the queue holds a full batch or when
+        ``draining`` (no further arrivals will ever come, so waiting is
+        pointless); otherwise once the oldest request's ``max_wait``
+        deadline has passed.  Returns that time (``None`` on an empty
+        queue) or, given ``now``, whether it has come.
         """
         if not self._queue:
-            return False
-        if len(self._queue) >= self.policy.max_batch_size:
-            return True
-        if draining:
-            return True
-        return now >= self.oldest_deadline()
+            return None if now is None else False
+        if draining or len(self._queue) >= self.policy.max_batch_size:
+            at = 0.0
+        else:
+            at = self.oldest_deadline()
+        return at if now is None else now >= at
 
     def drain(self):
         """Remove and return every queued request, FIFO order.  Used by

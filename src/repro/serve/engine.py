@@ -1,14 +1,16 @@
-"""The online inference engine: a single simulated serving node.
+"""The single simulated serving node: a 1-replica serving fleet.
 
-Ties the layer together: an admission queue + micro-batcher
-(:mod:`repro.serve.batcher`) feeds a :class:`~repro.serve.executor.
-BatchExecutor`, and every byte/edge/FLOP a batch touches is converted
-to simulated seconds through the same
-:class:`~repro.transfer.hardware.HardwareSpec` cost model the training
-engines use.  The executor is a separate layer on purpose: the fleet
-tier (:mod:`repro.fleet`) runs one executor per graph shard behind a
-partition-aware router, while this engine is the single-server
-baseline the fleet must bit-match.
+:class:`ServeEngine` is the single-server face of the serving stack.  It
+runs no event loop of its own: :meth:`ServeEngine.run` drives the
+fleet's loop (:class:`~repro.fleet.engine.FleetEngine`) with one replica
+owning the whole graph, and maps that replica onto a
+:class:`~repro.serve.metrics.ServeReport`.  The replica's
+:class:`~repro.serve.batcher.MicroBatcher` admits and batches requests,
+its executor (:mod:`repro.serve.executor`) serves each micro-batch, and
+every byte/edge/FLOP a batch touches is converted to simulated seconds
+through the same :class:`~repro.transfer.hardware.HardwareSpec` cost
+model the training engines use.  With one shard no row is remote, so
+nothing is billed over the network.
 
 Execution modes
 ---------------
@@ -31,33 +33,30 @@ Execution modes
     queried vertex (batching-invariant — see
     :meth:`~repro.serve.precompute.LayerwiseEmbeddings.rowwise_logits`).
 
-The event loop is deterministic: simulated arrivals come from a seeded
+Runs are deterministic: simulated arrivals come from a seeded
 :class:`~repro.serve.requests.LoadGenerator` trace, sampling uses one
 seeded rng, and no wall clock is ever read on the simulated-time path.
+Every run starts from a fresh replica: cold cache, fresh rng, empty
+queue.
 
 Graceful degradation (``deadline``/``fallback``): with a per-request
-deadline, requests that are already past it at dispatch are *shed*
-(load shedding — answering them late wastes capacity the live requests
-need), and in ``sampled`` mode with ``fallback=True`` a batch whose
-predicted sampled-path service time would miss the deadline is served
-from precomputed layer-wise embeddings instead (exact-but-stale beats
-sampled-but-late).  Sheds, degraded answers, and residual deadline
-misses are all reported on :class:`~repro.serve.metrics.ServeReport`.
+deadline, requests that are already past it at dispatch are *shed*,
+and in ``sampled`` mode with ``fallback=True`` a batch whose predicted
+sampled-path service time would miss the deadline is served from
+precomputed layer-wise embeddings instead (see
+:meth:`~repro.fleet.replica.ReplicaServer.dispatch`).  Sheds, degraded
+answers, and residual deadline misses are all reported on
+:class:`~repro.serve.metrics.ServeReport`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import AdmissionError, ServingError
-from ..perf import PERF, StageProfiler
-from ..transfer.hardware import DEFAULT_SPEC
+from ..partition.base import PartitionResult
 from ..transfer.tiered import TieredCache
-from .batcher import BatchPolicy, MicroBatcher
-from .executor import SERVE_MODES, BatchExecutor
+from .executor import SERVE_MODES
 from .metrics import ServeReport
-from .precompute import head_memo
-from .requests import InferenceResponse
 
 __all__ = ["ServeEngine", "SERVE_MODES"]
 
@@ -120,35 +119,35 @@ class ServeEngine:
                  cache_ratio=0.0, warm_ratio=0.0, cache_scores=None,
                  spec=None, seed=0, embeddings=None, deadline=None,
                  fallback=False):
-        if deadline is not None and deadline <= 0:
-            raise ServingError(
-                f"deadline must be positive, got {deadline}")
-        if fallback and mode != "sampled":
-            raise ServingError(
-                "fallback degradation only applies to 'sampled' mode "
-                f"(mode {mode!r} already serves from the table)")
-        if fallback and deadline is None:
-            raise ServingError(
-                "fallback degradation needs a deadline to degrade "
-                "against")
+        # Function-level import: the fleet layer sits above this one.
+        from ..fleet.engine import FleetEngine
+
+        whole_graph = PartitionResult(
+            np.zeros(dataset.graph.num_vertices, dtype=np.int64), 1,
+            method="single")
+        self.fleet = FleetEngine(
+            dataset, model, partition=whole_graph, mode=mode,
+            policy=policy, max_queue=max_queue, fanout=fanout,
+            cache_policy=cache_policy, cache_ratio=cache_ratio,
+            warm_ratio=warm_ratio, cache_scores=cache_scores, spec=spec,
+            seed=seed, embeddings=embeddings, deadline=deadline,
+            fallback=fallback)
         self.dataset = dataset
         self.model = model
         self.mode = mode
-        self.policy = policy or BatchPolicy()
+        self.policy = self.fleet.policy
         self.max_queue = max_queue
-        self.spec = spec or DEFAULT_SPEC
-        self.seed = int(seed)
-        self.deadline = None if deadline is None else float(deadline)
-        self.fallback = bool(fallback)
-        self.executor = BatchExecutor(
-            dataset, model, mode=mode, fanout=fanout,
-            cache_policy=cache_policy, cache_ratio=cache_ratio,
-            warm_ratio=warm_ratio, cache_scores=cache_scores,
-            spec=self.spec, embeddings=embeddings,
-            need_embeddings=self.fallback)
+        self.spec = self.fleet.spec
+        self.seed = self.fleet.seed
+        self.deadline = self.fleet.deadline
+        self.fallback = self.fleet.fallback
 
-    # Back-compatible views onto the execution layer (the pre-fleet
-    # engine owned these directly; tests and callers still read them).
+    # Back-compatible views onto the execution layer: the replica of the
+    # last run (before the first, the one built at construction).
+    @property
+    def executor(self):
+        return self.fleet.replicas[0].executor
+
     @property
     def sampler(self):
         return self.executor.sampler
@@ -181,163 +180,60 @@ class ServeEngine:
     def precompute_seconds(self):
         return self.executor.precompute_seconds
 
-    # ------------------------------------------------------------------
-    # The simulated-time serving loop
-    # ------------------------------------------------------------------
     def run(self, requests):
         """Serve a request trace; returns a
         :class:`~repro.serve.metrics.ServeReport`.
 
         ``requests`` must be sorted by arrival time (what
-        :meth:`LoadGenerator.generate` produces).  The loop is a
-        single-server queueing simulation: arrivals at time ``t`` are
-        admitted (in order) before any dispatch decision at ``t``; a
-        batch launches when the server is free and the batcher is ready
-        (full, past the oldest deadline, or draining).  Precomputed
-        answers are memoized per vertex for this run only
-        (:func:`~repro.serve.precompute.head_memo`).
+        :meth:`LoadGenerator.generate` produces).  Arrivals at time
+        ``t`` are admitted (in order) before any dispatch decision at
+        ``t``; a batch launches when the server is free and the batcher
+        is ready (full, past the oldest deadline, or draining).
         """
-        was_training = self.model.training
-        self.model.eval()
-        try:
-            with head_memo(self.embeddings):
-                return self._run(list(requests))
-        finally:
-            self.model.train() if was_training else self.model.eval()
-
-    def _run(self, requests):
-        if not requests:
-            raise ServingError("cannot serve an empty request trace")
-        batcher = MicroBatcher(self.policy, self.max_queue)
-        metrics = StageProfiler()
-        self.executor.reset_counters()
-        rng = np.random.default_rng(self.seed)
-        labels = self.dataset.labels
-
-        responses = []
-        rejected = []
-        shed = []
-        degraded_count = 0
-        service_estimate = None     # EWMA of sampled-path service time
-        bp_total = dt_total = nn_total = 0.0
-        correct = 0
-        clock = 0.0
-        i, n = 0, len(requests)
-        batch_id = 0
-
-        while i < n or len(batcher):
-            if not len(batcher):
-                clock = max(clock, requests[i].arrival)
-            while i < n and requests[i].arrival <= clock:
-                try:
-                    batcher.submit(requests[i])
-                    metrics.observe("queue_depth", len(batcher))
-                except AdmissionError:
-                    rejected.append(requests[i])
-                i += 1
-            if not batcher.ready(clock, draining=(i >= n)):
-                flush_at = batcher.oldest_deadline()
-                clock = max(clock, min(flush_at, requests[i].arrival))
-                continue
-
-            batch = batcher.take()
-            if self.deadline is not None:
-                # Load shedding: a request already past its deadline at
-                # dispatch cannot be answered in time no matter how
-                # fast the batch runs — drop it and spend the capacity
-                # on requests that can still make it.
-                expired = [r for r in batch
-                           if clock > r.arrival + self.deadline]
-                if expired:
-                    shed.extend(expired)
-                    batch = [r for r in batch
-                             if clock <= r.arrival + self.deadline]
-                    if not batch:
-                        continue
-
-            # Graceful degradation: when the sampled path's predicted
-            # service time would push the batch's oldest request past
-            # its deadline, answer from the precomputed table instead.
-            degrade = (
-                self.fallback and service_estimate is not None
-                and clock + service_estimate
-                > min(r.arrival for r in batch) + self.deadline)
-
-            vertices = np.array([r.vertex for r in batch],
-                                dtype=np.int64)
-            if degrade:
-                predictions, bp, dt, nn = \
-                    self.executor.execute_degraded(vertices)
-                degraded_count += len(batch)
-            else:
-                predictions, bp, dt, nn = self.executor.execute(
-                    vertices, rng)
-                if self.mode == "sampled":
-                    service = bp + dt + nn
-                    service_estimate = service \
-                        if service_estimate is None \
-                        else 0.5 * (service_estimate + service)
-            clock += bp + dt + nn
-            bp_total += bp
-            dt_total += dt
-            nn_total += nn
-            metrics.observe("batch_size", len(batch))
-            for request, prediction in zip(batch, predictions):
-                responses.append(InferenceResponse(
-                    request=request, prediction=int(prediction),
-                    completion=clock, batch_id=batch_id,
-                    batch_size=len(batch), degraded=degrade))
-                metrics.observe("latency", clock - request.arrival)
-                correct += int(prediction == labels[request.vertex])
-            batch_id += 1
-            PERF.count("serve_batches")
-
-        PERF.count("serve_requests", len(responses))
-        latency = metrics.summary("latency")
-        batch_stats = metrics.summary("batch_size")
-        depth = metrics.summary("queue_depth")
-        duration = max(r.completion for r in responses) if responses \
-            else 0.0
-        tiered = isinstance(self.cache, TieredCache)
+        fleet = self.fleet.run(requests)
+        replica = self.fleet.replicas[0]
+        cache = self.cache
+        tiered = isinstance(cache, TieredCache)
+        latency, batch, depth = (
+            replica.metrics.summary(name) or {}
+            for name in ("latency", "batch_size", "queue_depth"))
+        responses = fleet.responses
         return ServeReport(
             mode=self.mode,
-            policy=self.policy.describe(),
+            policy=fleet.policy,
             cache_ratio=self.cache_ratio,
-            num_requests=n,
-            completed=len(responses),
-            rejected=len(rejected),
-            duration_seconds=duration,
-            throughput=len(responses) / duration if duration else 0.0,
-            latency_mean=latency["mean"] if latency else 0.0,
-            latency_p50=latency["p50"] if latency else 0.0,
-            latency_p95=latency["p95"] if latency else 0.0,
-            latency_p99=latency["p99"] if latency else 0.0,
-            latency_max=latency["max"] if latency else 0.0,
-            num_batches=batch_id,
-            mean_batch_size=batch_stats["mean"] if batch_stats else 0.0,
-            batch_occupancy=(batch_stats["mean"]
-                             / self.policy.max_batch_size
-                             if batch_stats else 0.0),
-            queue_depth_mean=depth["mean"] if depth else 0.0,
-            queue_depth_max=depth["max"] if depth else 0.0,
-            cache_hit_rate=(self.cache.hit_rate
-                            if self.cache is not None else 0.0),
-            bp_seconds=bp_total,
-            dt_seconds=dt_total,
-            nn_seconds=nn_total,
+            num_requests=fleet.num_requests,
+            completed=fleet.completed,
+            rejected=fleet.rejected,
+            duration_seconds=fleet.duration_seconds,
+            throughput=fleet.throughput,
+            latency_mean=latency.get("mean", 0.0),
+            latency_p50=latency.get("p50", 0.0),
+            latency_p95=latency.get("p95", 0.0),
+            latency_p99=latency.get("p99", 0.0),
+            latency_max=latency.get("max", 0.0),
+            num_batches=replica.num_batches,
+            mean_batch_size=batch.get("mean", 0.0),
+            batch_occupancy=(batch.get("mean", 0.0)
+                             / self.policy.max_batch_size),
+            queue_depth_mean=depth.get("mean", 0.0),
+            queue_depth_max=depth.get("max", 0.0),
+            cache_hit_rate=cache.hit_rate if cache is not None else 0.0,
+            bp_seconds=replica.bp_seconds,
+            dt_seconds=replica.dt_seconds,
+            nn_seconds=replica.nn_seconds,
             precompute_seconds=self.precompute_seconds,
-            accuracy=correct / len(responses) if responses else 0.0,
+            accuracy=fleet.accuracy,
             deadline=self.deadline or 0.0,
-            shed=len(shed),
-            degraded=degraded_count,
+            shed=fleet.shed,
+            degraded=fleet.degraded,
             deadline_misses=(sum(
-                1 for r in responses
-                if r.latency > self.deadline)
+                1 for r in responses if r.latency > self.deadline)
                 if self.deadline is not None else 0),
             cache_policy=self.cache_policy,
             warm_ratio=self.warm_ratio,
-            hot_hit_rate=(self.cache.hot_hit_rate if tiered else 0.0),
-            warm_hit_rate=(self.cache.warm_hit_rate if tiered else 0.0),
+            hot_hit_rate=cache.hot_hit_rate if tiered else 0.0,
+            warm_hit_rate=cache.warm_hit_rate if tiered else 0.0,
             tier_seconds=(dict(self.executor.tier_seconds)
                           if tiered else {}),
             responses=responses,

@@ -4,14 +4,13 @@ seconds out.
 :class:`BatchExecutor` is the piece of the old monolithic
 ``ServeEngine`` that actually *serves* — sampling, feature/embedding
 fetches through an optional cache, the model forward — factored out so
-two hosts can drive it:
-
-* :class:`~repro.serve.engine.ServeEngine` wraps one executor in a
-  single-server queueing loop;
-* :class:`~repro.fleet.replica.ReplicaServer` wraps one executor *per
-  shard*, with :class:`~repro.fleet.replica.ShardExecutor` overriding
-  the transfer billing to split fetches into local rows and
-  remote-shard rows paid over the cluster network.
+the serving event loop can drive it: each
+:class:`~repro.fleet.replica.ReplicaServer` wraps one executor *per
+shard* (the single :class:`~repro.serve.engine.ServeEngine` is one
+replica owning the whole graph), with
+:class:`~repro.fleet.replica.ShardExecutor` overriding only the remote
+split of a fetch: rows owned by another shard are paid over the cluster
+network.
 
 The executor is deliberately ignorant of queueing, clocks, and
 routing: it maps a vertex batch to ``(predictions, bp, dt, nn)``
@@ -136,10 +135,6 @@ class BatchExecutor:
             f"unknown serving cache policy {self.cache_policy!r}; "
             f"known: lru, degree (flat) and lru, lfu, degree, "
             f"presample, static (tiered, warm_ratio > 0)")
-
-    def reset_counters(self):
-        """Zero the per-run tier-seconds accumulator."""
-        self.tier_seconds = {"hot": 0.0, "warm": 0.0, "cold": 0.0}
 
     # ------------------------------------------------------------------
     # Transfer billing

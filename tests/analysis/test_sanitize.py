@@ -7,12 +7,14 @@ drop it locally with ``perf_overrides(sanitize=False)``.
 import numpy as np
 import pytest
 
-from repro.analysis.sanitize import (check_contract, check_csr,
-                                     check_finite, sanitize_active)
+from repro.analysis.sanitize import (check_accounting, check_contract,
+                                     check_csr, check_finite,
+                                     sanitize_active)
 from repro.errors import SanitizerError
 from repro.perf import PERF, perf_overrides
 from repro.sampling import block as block_mod
 from repro.sampling.block import build_block, build_block_reference
+from repro.serve.requests import InferenceRequest, InferenceResponse
 
 
 def counter(name):
@@ -115,6 +117,45 @@ class TestCheckCSR:
         with perf_overrides(sanitize=False):
             check_csr(np.array([5, 1], dtype=np.float32),
                       np.array([9], dtype=np.int64), 7)
+
+
+def answers(*ids):
+    return [InferenceResponse(request=InferenceRequest(i, i, 0.0),
+                              prediction=0, completion=1.0,
+                              batch_id=1, batch_size=1)
+            for i in ids]
+
+
+class TestCheckAccounting:
+    def test_consistent_run_passes(self):
+        before = counter("sanitize_accounting_checks")
+        check_accounting(answers(0, 2), [3], rejected=2, shed=1,
+                         num_requests=5)
+        assert counter("sanitize_accounting_checks") == before + 1
+
+    @pytest.mark.parametrize("responses, dropped, match", [
+        (answers(0, 0), [], "answered twice"),
+        (answers(0), [1, 1], "dropped twice"),
+        (answers(0, 1), [1], "both answered and dropped"),
+    ])
+    def test_duplicate_ends_raise(self, responses, dropped, match):
+        with pytest.raises(SanitizerError, match=match):
+            check_accounting(responses, dropped, rejected=len(dropped),
+                             shed=0, num_requests=len(responses)
+                             + len(dropped))
+
+    def test_lost_or_extra_request_raises(self):
+        for rejected in (0, 2):
+            with pytest.raises(SanitizerError, match="!= 3 arrivals"):
+                check_accounting(answers(0, 1), [], rejected=rejected,
+                                 shed=0, num_requests=3)
+
+    def test_off_is_noop(self):
+        before = counter("sanitize_accounting_checks")
+        with perf_overrides(sanitize=False):
+            check_accounting(answers(0, 0), [0], rejected=9, shed=9,
+                             num_requests=1)
+        assert counter("sanitize_accounting_checks") == before
 
 
 class TestCheckContract:

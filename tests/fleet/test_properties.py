@@ -1,9 +1,11 @@
 """Property-based tests (hypothesis) for the fleet loop's incremental
-state: the running hedge quantile and the cached dispatch readiness.
+state: the running hedge quantile and the cached dispatch readiness,
+plus its request accounting.
 
 The suite arms ``FLAGS.sanitize`` (tests/conftest.py), so every fleet
 run below also has the loop compare each cached readiness time with a
-fresh ``next_dispatch_time`` poll after every refresh."""
+fresh ``next_dispatch_time`` poll after every refresh, and check that
+every request ended exactly once."""
 
 import bisect
 import struct
@@ -113,11 +115,11 @@ class TestCachedReadiness:
         report = engine.run(trace)
         assert PERF.counters["sanitize_readiness_checks"] > before
         # No request is answered twice, and none vanishes: each one is
-        # answered or rejected (dropped requests count as rejected).
-        # "Exactly once" does not hold yet; see TestAccounting.
+        # answered or rejected (dropped requests count as rejected),
+        # exactly once.
         answered = [r.request.request_id for r in report.responses]
         assert len(answered) == len(set(answered))
-        assert report.completed + report.rejected >= len(trace)
+        assert report.completed + report.rejected == len(trace)
 
     def test_a_stale_entry_is_caught(self, data, model, embeddings):
         engine = FleetEngine(data, model, partition="hash",
@@ -134,10 +136,6 @@ class TestCachedReadiness:
 
 
 class TestAccounting:
-    @pytest.mark.xfail(strict=True, reason=(
-        "known defect: when both copies of a hedged request are orphaned "
-        "by crashes and every replica is down, the request is dropped "
-        "once per copy, so completed + rejected exceeds the trace"))
     def test_every_request_counted_exactly_once(self, data, model,
                                                 embeddings):
         trace = LoadGenerator(data.test_ids, rate=30000.0,

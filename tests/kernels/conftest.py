@@ -109,12 +109,6 @@ def have_scipy():
 
 
 def backend_params():
-    """Every registered backend name, skipping the unavailable ones."""
+    """Every backend name importable here."""
     from repro.kernels import available_backends
-    from repro.kernels.registry import _BACKENDS
-    available = set(available_backends())
-    return [pytest.param(name,
-                         marks=() if name in available else
-                         pytest.mark.skip(reason=f"{name} backend "
-                                                 f"not importable"))
-            for name in _BACKENDS]
+    return available_backends()

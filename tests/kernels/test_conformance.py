@@ -104,6 +104,14 @@ class TestDispatchSemantics:
             gspmm_forward(csr_case, _features(csr_case, np.float32),
                           backend="cuda")
 
+    def test_numba_is_not_a_backend(self):
+        with pytest.raises(KernelError, match="unknown kernel backend"):
+            resolve_backend("numba")
+        with perf_overrides(kernel_backend="numba"), \
+                pytest.raises(KernelError,
+                              match="unknown kernel backend"):
+            resolve_backend()
+
     def test_unknown_op_raises(self, csr_case):
         with pytest.raises(KernelError, match="unknown gspmm op"):
             gspmm_forward(csr_case, _features(csr_case, np.float32),
@@ -180,14 +188,19 @@ class TestDispatchSemantics:
         assert delta.get("kernel_reference_calls") == 1
         assert delta.get("kernel_flops", 0) == 2 * csr_case.nnz * 4
 
-    def test_explicit_unavailable_backend_raises(self):
+    def test_explicit_unavailable_backend_raises(self, monkeypatch):
         from repro.kernels.registry import _BACKENDS
-        missing = [name for name in _BACKENDS
-                   if name not in available_backends()]
-        if not missing:
-            pytest.skip("every registered backend is importable")
+
+        class Missing:
+            name = "missing"
+
+            def available(self):
+                return False
+
+        monkeypatch.setitem(_BACKENDS, "missing", Missing())
+        assert "missing" not in available_backends()
         with pytest.raises(KernelError, match="not importable"):
-            resolve_backend(missing[0])
+            resolve_backend("missing")
 
 
 class TestScipyDispatchCaching:
