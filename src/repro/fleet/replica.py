@@ -193,8 +193,6 @@ class ReplicaServer:
         self.spill_routed = 0
         self.completed = 0
         self.rejected = 0
-        self.shed = 0
-        self.degraded = 0
         self.zero_remote_completed = 0
         self.num_batches = 0
         self.bp_seconds = 0.0
@@ -262,7 +260,6 @@ class ReplicaServer:
             self.last_shed = [r for r in batch
                               if clock > r.arrival + self.deadline]
             if self.last_shed:
-                self.shed += len(self.last_shed)
                 batch = [r for r in batch
                          if clock <= r.arrival + self.deadline]
                 if not batch:
@@ -275,7 +272,6 @@ class ReplicaServer:
         if degrade:
             predictions, bp, dt, nn = \
                 self.executor.execute_degraded(vertices)
-            self.degraded += len(batch)
             remote_rows, remote_seconds = 0, 0.0
         else:
             predictions, bp, dt, nn = self.executor.execute(vertices,

@@ -10,7 +10,7 @@ import pytest
 from repro import load_dataset
 from repro.errors import FleetError, ServingError
 from repro.fleet import AutoscalePolicy, FleetEngine, FleetReport, \
-    RoutingPolicy
+    HedgePolicy, ResiliencePolicy, RoutingPolicy
 from repro.nn import build_model
 from repro.serve import BatchPolicy, LayerwiseEmbeddings, \
     LoadGenerator, ServeEngine
@@ -231,6 +231,46 @@ class TestReport:
         busy = next(r for r in report.replicas if r.replica == 0)
         assert busy.latency_p99 is not None
         json.dumps(report.to_dict())   # nulls serialize
+
+
+class TestDeadlines:
+    """Shedding and the degraded fallback run inside every replica, so
+    a sharded, hedged fleet has them too."""
+
+    def test_sharded_fleet_sheds_and_degrades(self, data, model,
+                                              embeddings, trace):
+        def run(**kwargs):
+            return FleetEngine(
+                data, model, partition="hash", num_replicas=3,
+                mode="sampled", policy=POLICY, fanout=(5, 5),
+                embeddings=embeddings, seed=2,
+                resilience=ResiliencePolicy(hedge=HedgePolicy(
+                    min_observations=5, min_delay=1e-4)),
+                **kwargs).run(trace)
+
+        tight = run().latency_p50
+        report = run(deadline=tight, fallback=True)
+        assert report.shed > 0
+        assert report.degraded > 0
+        assert report.completed + report.rejected + report.shed \
+            == len(trace)
+        flagged = [r for r in report.responses if r.degraded]
+        assert len(flagged) == report.degraded
+        vertices = np.array([r.request.vertex for r in flagged])
+        assert [r.prediction for r in flagged] \
+            == list(embeddings.logits(vertices).argmax(axis=-1))
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(deadline=0.0),
+        dict(fallback=True),
+        dict(mode="precomputed", deadline=0.01, fallback=True),
+    ])
+    def test_bad_deadline_settings_rejected(self, data, model,
+                                            embeddings, kwargs):
+        with pytest.raises(ServingError):
+            FleetEngine(data, model, partition="hash", num_replicas=2,
+                        embeddings=embeddings,
+                        **dict(dict(mode="sampled"), **kwargs))
 
 
 class TestValidation:
